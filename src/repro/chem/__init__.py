@@ -16,7 +16,7 @@ from repro.chem.molecule import Bond, Molecule
 from repro.chem.smiles import parse_smiles, to_smiles
 from repro.chem.generator import GeneratorProfile, MoleculeGenerator
 from repro.chem.conformer import embed_3d, minimize_conformer
-from repro.chem.forcefield import ForceField, ForceFieldEnergy
+from repro.chem.forcefield import ForceField, ForceFieldEnergy, ForceFieldTopology
 from repro.chem.descriptors import compute_descriptors
 from repro.chem.protein import (
     BindingSite,
@@ -47,6 +47,7 @@ __all__ = [
     "minimize_conformer",
     "ForceField",
     "ForceFieldEnergy",
+    "ForceFieldTopology",
     "compute_descriptors",
     "BindingSite",
     "PocketFamily",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chem.forcefield import ForceField
+from repro.chem.forcefield import ForceField, ForceFieldTopology
 from repro.chem.molecule import Molecule
 from repro.utils.rng import ensure_rng
 
@@ -96,25 +96,26 @@ def minimize_conformer(
     """Steepest-descent minimization of the conformer under ``forcefield``.
 
     Returns the relaxed molecule and its final force-field energy. The
-    step size is adaptive: halved when a step increases the energy.
+    step size is adaptive: halved when a step increases the energy. The
+    topology is compiled once and the descent iterates on coordinate
+    arrays; the molecule's atoms are written once, at the end.
     """
     forcefield = forcefield or ForceField()
     out = molecule.copy()
+    topology = ForceFieldTopology(forcefield, out)
     coords = out.coordinates
-    energy, forces = forcefield.energy_and_forces(out)
+    energy, forces = topology.energy_and_forces(coords)
     step = float(step_size)
     for _ in range(int(max_steps)):
         grad_norm = np.linalg.norm(forces)
         if grad_norm < tolerance:
             break
         trial = coords + step * forces / (grad_norm + 1e-12)
-        out.set_coordinates(trial)
-        new_energy, new_forces = forcefield.energy_and_forces(out)
+        new_energy, new_forces = topology.energy_and_forces(trial)
         if new_energy < energy:
             coords, energy, forces = trial, new_energy, new_forces
             step *= 1.1
         else:
-            out.set_coordinates(coords)
             step *= 0.5
             if step < 1e-5:
                 break

@@ -44,21 +44,29 @@ class Molecule:
             atom.index = index
         self.bonds: list[Bond] = []
         self.name = name
+        # One running key set keeps construction (and so ``copy()``) O(B);
+        # none is kept on the instance, since callers may reassign ``bonds``.
+        keys: set[tuple[int, int]] = set()
         for bond in bonds:
-            self.add_bond(bond.i, bond.j, bond.order)
+            self._append_bond(bond.i, bond.j, bond.order, keys)
 
     # -------------------------------------------------------------- #
     # Construction helpers
     # -------------------------------------------------------------- #
     def add_bond(self, i: int, j: int, order: int = 1) -> None:
         """Add a bond, validating atom indices and duplicates."""
+        self._append_bond(i, j, order, {(min(b.i, b.j), max(b.i, b.j)) for b in self.bonds})
+
+    def _append_bond(self, i: int, j: int, order: int, keys: set[tuple[int, int]]) -> None:
+        """Validate bond ``(i, j)`` against the existing bond ``keys``, then append it."""
         n = len(self.atoms)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"bond ({i}, {j}) references atoms outside 0..{n - 1}")
         key = (min(i, j), max(i, j))
-        if any((min(b.i, b.j), max(b.i, b.j)) == key for b in self.bonds):
+        if key in keys:
             raise ValueError(f"duplicate bond between atoms {i} and {j}")
         self.bonds.append(Bond(i, j, order))
+        keys.add(key)
 
     def copy(self) -> "Molecule":
         """Deep copy of the molecule."""
@@ -79,7 +87,7 @@ class Molecule:
     @property
     def coordinates(self) -> np.ndarray:
         """``(num_atoms, 3)`` coordinate array (a copy)."""
-        return np.array([a.position for a in self.atoms], dtype=np.float64)
+        return np.array([a.position for a in self.atoms], dtype=np.float64).reshape(self.num_atoms, 3)
 
     def set_coordinates(self, coords: np.ndarray) -> None:
         """Overwrite atom coordinates from an ``(num_atoms, 3)`` array."""

@@ -68,6 +68,26 @@ class TestMoleculeTopology:
         with pytest.raises(ValueError):
             Bond(0, 1, order=4)
 
+    def test_constructor_validates_bonds_in_order(self):
+        atoms = [Atom("C"), Atom("C"), Atom("O")]
+        with pytest.raises(ValueError, match="duplicate bond between atoms 1 and 0"):
+            Molecule(atoms, [Bond(0, 1), Bond(1, 2), Bond(1, 0)])
+        with pytest.raises(IndexError, match=r"bond \(0, 5\) references atoms outside 0..2"):
+            Molecule(atoms, [Bond(0, 5), Bond(0, 1), Bond(1, 0)])
+        with pytest.raises(ValueError, match="duplicate bond"):
+            Molecule(atoms, [Bond(0, 1), Bond(0, 1), Bond(0, 7)])
+        mol = Molecule(atoms, [Bond(2, 1, 2), Bond(0, 1)])
+        assert [b.as_tuple() for b in mol.copy().bonds] == [(2, 1, 2), (0, 1, 1)]
+        # no cached key set: reassigned bonds are what add_bond validates against
+        mol.bonds = [Bond(0, 1)]
+        mol.add_bond(1, 2)
+        with pytest.raises(ValueError, match="duplicate bond between atoms 2 and 1"):
+            mol.add_bond(2, 1)
+
+    def test_empty_molecule_coordinates_have_three_columns(self):
+        assert Molecule([]).coordinates.shape == (0, 3)
+        Molecule([]).set_coordinates(Molecule([]).coordinates)
+
     def test_neighbors_degree_components(self):
         mol = linear_molecule("CCC")
         assert mol.neighbors(1) == [0, 2]
