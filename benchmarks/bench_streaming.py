@@ -7,7 +7,7 @@ and ``workers`` as pure throughput knobs.  This benchmark pins both
 claims into ``benchmarks/artifacts/streaming_throughput.json``:
 
 * **memory flatness** — the real :class:`StreamingScreen.run` loop
-  (work-stealing pool, reorder window, top-K + streaming-stats fold)
+  (shared-queue thread pool, sliding window, top-K + streaming-stats fold)
   drives 10k and then 100k compounds with a synthetic, vectorized shard
   executor standing in for the physics stages, under ``tracemalloc``.
   Peak traced memory must stay < ``MAX_MEMORY_GROWTH``x across the 10x
@@ -237,7 +237,6 @@ def _pipeline_rows(workbench, bench_scale: str) -> list[dict]:
                 "workers": workers,
                 "backend": backend,
                 "num_shards": result.num_shards,
-                "steals": result.steals,
                 "compounds_per_s": len(deck) / elapsed if elapsed > 0 else float("inf"),
             }
         )

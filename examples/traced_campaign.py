@@ -60,7 +60,7 @@ def main() -> None:
     )
     result = engine.run(deck.molecules)
     print(f"screened {result.num_compounds} compounds in {result.num_shards} shards "
-          f"({result.duration_s:.1f}s, {result.steals} steals)")
+          f"({result.duration_s:.1f}s)")
     for site_name in sites:
         best = result.top_k[site_name][0]
         print(f"  {site_name}: best {best.compound_id} @ {best.score:.3f}")

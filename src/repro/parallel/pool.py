@@ -91,7 +91,7 @@ class PoolClosedError(RuntimeError):
 
 
 class _Warmup:
-    """Sentinel task: spawns a worker and ships the payload, does nothing."""
+    """Sentinel task: completes once a worker has loaded the payload."""
 
 
 class _AttemptedTask:
@@ -168,9 +168,8 @@ class ProcessTaskPool:
         fails fast in the parent with a useful traceback, not inside an
         opaque worker crash.
     max_workers:
-        Upper bound on concurrent worker processes.  Processes are
-        spawned on demand by the executor; :meth:`warm` forces the first
-        spawn early so payload shipping overlaps coordinator startup.
+        Number of worker processes, all spawned by the constructor;
+        :meth:`warm` waits for one of them to finish loading the payload.
     """
 
     def __init__(self, payload: WorkerPayload, max_workers: int = 1) -> None:
@@ -211,6 +210,12 @@ class ProcessTaskPool:
             initializer=_initialize_worker,
             initargs=(self._payload_bytes,),
         )
+        # Spawn every worker now (one per call while none is idle).  On
+        # demand, ``submit`` wakes the manager thread before spawning, so
+        # the manager may wait on a sentinel list missing the new worker
+        # and never notice its death: an SPMD step then hangs.
+        for _ in range(self.max_workers):
+            self._executor._adjust_process_count()
 
     # ------------------------------------------------------------------ #
     @property
@@ -247,10 +252,10 @@ class ProcessTaskPool:
         return self.submit(task).result()
 
     def warm(self, wait: bool = False) -> Future:
-        """Start spawning a worker (and shipping the payload) now.
+        """Dispatch a no-op task that completes once a worker is ready.
 
         By default the warm-up future is returned without waiting, so
-        process startup overlaps whatever the caller does next; real
+        payload loading overlaps whatever the caller does next; real
         tasks submitted meanwhile simply queue behind it.
         """
         future = self.submit(_Warmup())

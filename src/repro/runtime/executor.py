@@ -17,6 +17,8 @@ Two layers live here:
   :class:`~repro.hpc.faults.FaultInjector` draw: an injected fault
   aborts the attempt and the runner retries with exponential backoff,
   exactly the requeue behaviour the paper's LSF campaigns relied on.
+  The retry loop itself is :meth:`RetryPolicy.run`, shared with the
+  streaming screen's shards.
 """
 
 from __future__ import annotations
@@ -75,6 +77,37 @@ class RetryPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Seconds to wait before re-running after a failed ``attempt``."""
         return self.backoff_s * self.backoff_factor ** max(attempt - 1, 0)
+
+    def run(
+        self,
+        name: str,
+        body: Callable[[], Any],
+        faults: FaultInjector,
+        on_attempt: Callable[[int, FaultEvent | None], None],
+        num_nodes: int = 1,
+    ) -> Any:
+        """Run ``body`` once an attempt draws no fault; return its result.
+
+        Attempt ``n`` (from 1) draws ``faults.check(name, num_nodes,
+        attempt=n)`` and reports it as ``on_attempt(n, fault_or_None)``.
+        A fault past the ``max_retries`` budget raises
+        :class:`StageJobError`; otherwise the loop sleeps
+        :meth:`backoff_for` and tries again.  An exception raised by
+        ``body`` propagates untouched: only injected faults are retried.
+        """
+        attempt = 0
+        while True:
+            attempt += 1
+            fault = faults.check(name, num_nodes, attempt=attempt)
+            on_attempt(attempt, fault)
+            if fault is None:
+                return body()
+            if attempt > self.max_retries:
+                raise StageJobError(name, fault, attempt)
+            delay = self.backoff_for(attempt)
+            logger.info("fault %s; retrying '%s' (attempt %d) after %.3fs", fault.mode, name, attempt + 1, delay)
+            if delay > 0:
+                time.sleep(delay)
 
 
 @dataclass
@@ -137,22 +170,13 @@ class JobRunner:
             return [future.result() for future in futures]
 
     def _run_one(self, job: StageJob) -> Any:
-        attempt = 0
-        while True:
-            attempt += 1
+        def record(attempt: int, fault: FaultEvent | None) -> None:
             with self._lock:
                 self.attempts[job.name] = attempt
-            fault = self.faults.check(job.name, job.num_nodes, attempt=attempt)
-            if fault is None:
-                return job.fn()
-            with self._lock:
-                self.fault_log.append(fault)
-            if attempt > self.retry.max_retries:
-                raise StageJobError(job.name, fault, attempt)
-            delay = self.retry.backoff_for(attempt)
-            logger.info("fault %s; retrying '%s' (attempt %d) after %.3fs", fault.mode, job.name, attempt + 1, delay)
-            if delay > 0:
-                time.sleep(delay)
+                if fault is not None:
+                    self.fault_log.append(fault)
+
+        return self.retry.run(job.name, job.fn, self.faults, record, num_nodes=job.num_nodes)
 
 
 # --------------------------------------------------------------------------- #

@@ -8,8 +8,7 @@ module closes that gap: :class:`StreamingScreen` iterates a compound
 source (a materialized deck or a lazily-generated
 :class:`~repro.datasets.libraries.StreamingLibrary`) in bounded-size
 shards, drives each shard through ligand prep → :func:`dock_many` →
-MM/GBSA → fusion scoring on a bounded work-stealing worker pool, and
-folds results into
+MM/GBSA → fusion scoring on a bounded thread pool, and folds results into
 
 * an exact bounded-memory top-K selector per binding site
   (:class:`TopKSelector` — a heap with deterministic
@@ -32,9 +31,9 @@ Determinism contract (the golden suite in
   compound), so NN batch composition — the one ulp-sensitive knob — is a
   function of the compound alone, never of shard boundaries or worker
   scheduling;
-* shard results are folded in shard-index order behind a bounded
-  reorder window, so the output is independent of which worker finished
-  first.
+* shard results are folded in shard-index order from a bounded sliding
+  window of submitted shards, so the output is independent of which
+  worker finished first.
 
 Consequently top-K ids, scores and summary statistics are bit-identical
 across any ``shard_size`` and any ``workers`` — which is also why (like
@@ -56,8 +55,8 @@ import heapq
 import math
 import threading
 import time
-from collections import deque
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -74,13 +73,12 @@ from repro.hpc.faults import FaultEvent, FaultInjector, ProcessKillFault
 from repro.nn.module import Module
 from repro.parallel import (
     SupervisedTaskPool,
-    SupervisionConfig,
     TaskFailure,
     isolated_registry,
     validate_backend,
 )
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_key
-from repro.runtime.executor import RetryPolicy
+from repro.runtime.executor import RetryPolicy, StageJobError
 from repro.screening.partition import shard_bounds
 from repro.telemetry import Telemetry, activate, build_run_record, stage_entry, worker_occupancy
 from repro.telemetry import current as current_telemetry
@@ -90,16 +88,6 @@ from repro.utils.rng import derive_seed
 from repro.utils.timer import Timer
 
 logger = get_logger("repro.screening.stream")
-
-
-# --------------------------------------------------------------------------- #
-# Exact accumulation
-# --------------------------------------------------------------------------- #
-# ``ExactSum`` (the Shewchuk-expansion exact float sum that makes the
-# streaming statistics order-invariant) now lives in
-# :mod:`repro.telemetry.exact` — the telemetry layer's mergeable
-# histograms need the same order-invariant totals and sit *below* this
-# module.  It stays importable from here for the streaming API's users.
 
 
 @dataclass
@@ -372,7 +360,7 @@ class StreamConfig:
     shard_size: int = 64
     workers: int = 1
     #: worker execution backend: ``"thread"`` runs shard bodies on the
-    #: work-stealing thread pool (the historical default); ``"process"``
+    #: stream's thread pool (the historical default); ``"process"``
     #: keeps the same threads as dispatchers but executes each shard body
     #: in a spawned worker process (:mod:`repro.parallel`), breaking the
     #: GIL.  Like ``shard_size``/``workers``/``docking_engine`` this is a
@@ -391,30 +379,11 @@ class StreamConfig:
     library_name: str = "campaign"
     nan_policy: str = "drop"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: crash budget per shard under ``backend="process"``: a shard whose
-    #: worker process dies (SIGKILL, OOM) is re-dispatched into a
-    #: respawned pool up to this many total attempts before it is
-    #: quarantined and handled as a failed shard (``on_shard_failure``).
-    #: Distinct from ``retry``, which governs *exceptions* in the shard
-    #: body; like ``retry`` it never enters shard keys.
-    max_task_retries: int = 3
-    #: optional per-shard wall-clock deadline under ``backend="process"``;
-    #: an overdue shard fails with ``TimeoutError`` (flowing into the
-    #: ``retry`` policy) without tearing down healthy workers
-    shard_deadline_s: float | None = None
-    #: escape hatch: when respawning crashed worker processes itself
-    #: keeps failing, finish remaining shards on in-process threads
-    #: instead of failing the stream (results are unchanged — shard
-    #: bodies are pure functions of the shard descriptor)
-    degrade_to_thread: bool = False
     #: ``"raise"`` stops the stream on retry exhaustion (completed shards
     #: keep their checkpoints); ``"skip"`` records the shard as failed
     #: and continues — the accounting invariant
     #: ``submitted == completed + failed`` holds either way
     on_shard_failure: str = "raise"
-    #: reorder-window factor: at most ``reorder_window_factor * workers``
-    #: shards may be completed-but-unfolded, bounding buffered memory
-    reorder_window_factor: int = 2
 
     def __post_init__(self) -> None:
         if self.shard_size <= 0:
@@ -427,10 +396,6 @@ class StreamConfig:
             raise ValueError("fusion_batch_size must be non-negative (0 = per-compound)")
         if self.on_shard_failure not in ("raise", "skip"):
             raise ValueError(f"unknown on_shard_failure policy '{self.on_shard_failure}'")
-        if self.max_task_retries < 1:
-            raise ValueError("max_task_retries must be >= 1")
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError("shard_deadline_s must be positive when set")
         validate_engine(self.docking_engine)
         validate_backend(self.backend)
 
@@ -468,7 +433,6 @@ class StreamingScreenResult:
     shards_restored: int
     shards_failed: int
     failed_shards: list[int]
-    steals: int
     total_attempts: int
     total_retries: int
     faults: list[str]
@@ -502,46 +466,9 @@ class StreamingScreenResult:
             "shards_executed": float(self.shards_executed),
             "shards_restored": float(self.shards_restored),
             "shards_failed": float(self.shards_failed),
-            "steals": float(self.steals),
             "total_retries": float(self.total_retries),
             "duration_s": self.duration_s,
         }
-
-
-# --------------------------------------------------------------------------- #
-# Work-stealing scheduler
-# --------------------------------------------------------------------------- #
-class _WorkStealingQueues:
-    """Per-worker shard deques with frontier-first stealing.
-
-    Shards are dealt round-robin; a worker drains its own deque from the
-    front and, when empty, steals from the longest other deque — so a
-    worker stuck on an expensive shard sheds its queued work to idle
-    peers.
-    """
-
-    def __init__(self, num_items: int, workers: int) -> None:
-        self._deques: list[deque[int]] = [deque() for _ in range(workers)]
-        for index in range(num_items):
-            self._deques[index % workers].append(index)
-        self._lock = threading.Lock()
-        self.steals = 0
-
-    def next_for(self, worker: int) -> int | None:
-        with self._lock:
-            own = self._deques[worker]
-            if own:
-                return own.popleft()
-            victim = max(range(len(self._deques)), key=lambda v: len(self._deques[v]))
-            if self._deques[victim]:
-                self.steals += 1
-                # steal the victim's *lowest* shard (its front), not the
-                # classic back: the reorder-window admission gate favours
-                # indices near the fold frontier, so a back-steal is the
-                # shard most likely to park the thief while admissible
-                # work sits queued behind the slow victim
-                return self._deques[victim].popleft()
-            return None
 
 
 # --------------------------------------------------------------------------- #
@@ -667,19 +594,18 @@ class StreamingScreen:
         self.prep_factory = prep_factory or CDT2Ligand
         self.telemetry = telemetry
         self._last_run: dict | None = None
-        self._shard_pool: SupervisedTaskPool | None = None
         self.receptors = CDT1Receptor().run(list(self.sites.values()))
         self._site_map = {name: receptor.site for name, receptor in self.receptors.items()}
 
     # ------------------------------------------------------------------ #
     # pickling (process backend): the engine travels to shard workers
     # once, inside the pool payload.  Coordinator-only state — the
-    # serving route, checkpoint store, fault injector, telemetry bundle
-    # and the pool itself — stays behind: checkpoint restore, retries and
+    # serving route, checkpoint store, fault injector and telemetry
+    # bundle — stays behind: checkpoint restore, retries and
     # fault draws run in the coordinator's dispatcher threads either way,
     # which is exactly what keeps the two backends bit-identical.
     # ------------------------------------------------------------------ #
-    _COORDINATOR_ONLY = ("service", "checkpoints", "faults", "telemetry", "_last_run", "_shard_pool")
+    _COORDINATOR_ONLY = ("service", "checkpoints", "faults", "telemetry", "_last_run")
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -694,10 +620,6 @@ class StreamingScreen:
     # ------------------------------------------------------------------ #
     # source access
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _source_len(source: Any) -> int:
-        return len(source)
-
     @staticmethod
     def _source_slice(source: Any, start: int, stop: int) -> list[Molecule]:
         """Materialize one shard of molecules from a deck, list or lazy library."""
@@ -812,18 +734,19 @@ class StreamingScreen:
             num_compounds=len(molecules),
         )
 
-    def _dispatch_shard(self, index: int, start: int, stop: int, source: Any) -> ShardOutcome:
+    def _dispatch_shard(
+        self, index: int, start: int, stop: int, source: Any, pool: SupervisedTaskPool | None
+    ) -> ShardOutcome:
         """Run one shard attempt on the configured backend.
 
-        Thread backend: execute inline on the calling worker thread.
-        Process backend: submit the ``(index, start, stop)`` descriptor to
-        the shard pool, then fold the worker process's exported metrics
-        into the active registry — exact counter adds and histogram
-        merges, so telemetry is backend-invariant too.  Exceptions raised
+        Thread backend (no ``pool``): execute inline on the calling worker
+        thread.  Process backend: submit the ``(index, start, stop)``
+        descriptor to the shard pool, then fold the worker process's
+        exported metrics into the active registry — exact counter adds and
+        histogram merges, so telemetry is backend-invariant too.  Exceptions raised
         in the worker process surface here exactly like inline ones and
         flow into :meth:`_run_shard`'s failure handling.
         """
-        pool = self._shard_pool
         if pool is None:
             return self._execute_shard(index, start, stop, source)
         result = pool.run((index, start, stop))
@@ -843,7 +766,9 @@ class StreamingScreen:
             return tuple(compound_name(index) for index in range(start, stop))
         return tuple(m.name for m in self._source_slice(source, start, stop))
 
-    def _run_shard(self, index: int, start: int, stop: int, source: Any) -> ShardOutcome:
+    def _run_shard(
+        self, index: int, start: int, stop: int, source: Any, pool: SupervisedTaskPool | None
+    ) -> ShardOutcome:
         """One shard with restore-from-checkpoint and fault-injected retries."""
         cfg = self.config
         key = ""
@@ -862,33 +787,29 @@ class StreamingScreen:
                     attempts=0,
                     checkpoint_key=key,
                 )
-        attempt = 0
+        attempts = 0
         faults: list[str] = []
-        while True:
-            attempt += 1
-            fault = self.faults.check(self.shard_name(index), 1, attempt=attempt)
-            if fault is None:
-                try:
-                    outcome = self._dispatch_shard(index, start, stop, source)
-                except Exception as error:
-                    outcome = ShardOutcome(
-                        index=index, start=start, stop=stop, status="failed",
-                        attempts=attempt, faults=faults, error=str(error),
-                    )
-                outcome.attempts = attempt
-                outcome.faults = faults
-                outcome.checkpoint_key = key
-                return outcome
-            faults.append(str(fault))
-            if attempt > cfg.retry.max_retries:
-                return ShardOutcome(
-                    index=index, start=start, stop=stop, status="failed",
-                    attempts=attempt, faults=faults, error=str(fault),
-                )
-            delay = cfg.retry.backoff_for(attempt)
-            logger.info("fault %s; retrying shard %d (attempt %d)", fault.mode, index, attempt + 1)
-            if delay > 0:
-                time.sleep(delay)
+
+        def record(attempt: int, fault: FaultEvent | None) -> None:
+            nonlocal attempts
+            attempts = attempt
+            if fault is not None:
+                faults.append(str(fault))
+
+        def attempt_shard() -> ShardOutcome:
+            try:
+                return self._dispatch_shard(index, start, stop, source, pool)
+            except Exception as error:
+                return ShardOutcome(index=index, start=start, stop=stop, status="failed", error=str(error))
+
+        try:
+            outcome = cfg.retry.run(self.shard_name(index), attempt_shard, self.faults, record)
+            outcome.checkpoint_key = key
+        except StageJobError as error:
+            outcome = ShardOutcome(index=index, start=start, stop=stop, status="failed", error=str(error.fault))
+        outcome.attempts = attempts
+        outcome.faults = faults
+        return outcome
 
     # ------------------------------------------------------------------ #
     # the streaming run
@@ -923,7 +844,6 @@ class StreamingScreen:
         """
         cfg = self.config
         telemetry = self.telemetry if self.telemetry is not None else current_telemetry()
-        scope = activate(self.telemetry) if self.telemetry is not None else nullcontext()
         tracer = telemetry.tracer
         registry = telemetry.registry
         shard_seconds = registry.histogram("stream.shard_s", min_value=1e-6, max_value=1e5, growth=1.05)
@@ -934,36 +854,6 @@ class StreamingScreen:
         count_compounds = registry.counter("stream.compounds")
         timer = Timer(tracer=tracer, stage="streamed_screen")
         started = time.perf_counter()
-        scope.__enter__()
-        run_span = tracer.span("streaming-screen", stage="streamed_screen")
-        run_span.__enter__()
-        startup_section = timer.section("startup")
-        startup_section.__enter__()
-        total = self._source_len(source)
-        bounds = shard_bounds(total, cfg.shard_size)
-        limit = len(bounds) if stop_after_shards is None else min(max(int(stop_after_shards), 0), len(bounds))
-        run_span.set("num_shards", limit)
-
-        if cfg.backend == "process" and limit > 0:
-            # one payload (stripped engine + source) shipped per worker
-            # process; capped at the shard count so tiny runs do not pay
-            # for processes that would never receive a task.  The pool
-            # runs under supervision: a SIGKILL'd shard worker respawns
-            # the pool and re-executes the shard from its seed (shard
-            # bodies are pure functions of the descriptor, so recovery
-            # never changes a result bit).
-            self._shard_pool = SupervisedTaskPool(
-                _ShardWorkerPayload(self, source),
-                max_workers=min(cfg.workers, limit),
-                config=SupervisionConfig(
-                    max_task_retries=cfg.max_task_retries,
-                    task_deadline_s=cfg.shard_deadline_s,
-                    degrade_to_thread=cfg.degrade_to_thread,
-                ),
-                registry=registry,
-            )
-            self._shard_pool.warm()
-            run_span.set("process_workers", self._shard_pool.max_workers)
 
         top_k = {name: TopKSelector(cfg.top_k, nan_policy=cfg.nan_policy) for name in self.sites}
         stats = {name: StreamingStats() for name in self.sites}
@@ -978,61 +868,25 @@ class StreamingScreen:
         total_retries = 0
         fault_log: list[str] = []
         num_compounds = 0
+        # busy seconds per pool thread; each entry is written by its own thread only
+        busy: dict[str, float] = {}
+        shard_pool: SupervisedTaskPool | None = None
 
-        queues = _WorkStealingQueues(limit, cfg.workers)
-        outcomes: dict[int, ShardOutcome] = {}
-        cond = threading.Condition()
-        # The reorder window bounds admitted-but-unfolded shards, so a
-        # slow shard cannot let fast workers buffer the whole library.
-        # Admission is by *shard index* relative to the fold frontier,
-        # not by counting slots: a slot semaphore deadlocks once fast
-        # workers fill every slot with far-ahead (stolen) results that
-        # cannot fold until the frontier shard runs — while the frontier
-        # shard's worker starves waiting for a slot.  Index-based
-        # admission keeps the frontier shard admissible by construction
-        # (``frontier - frontier < window``), so the fold always
-        # advances and parked workers always wake.
-        window = max(cfg.reorder_window_factor * cfg.workers, 2)
-        admission = threading.Condition()
-        frontier = 0  # shards folded so far == the index the fold loop needs next
-        stop_flag = threading.Event()
-        # per-worker busy seconds; each slot is written by one thread only
-        busy = [0.0] * cfg.workers
-
-        def worker(worker_index: int) -> None:
-            while not stop_flag.is_set():
-                shard = queues.next_for(worker_index)
-                if shard is None:
-                    return
-                with admission:
-                    while not stop_flag.is_set() and shard - frontier >= window:
-                        admission.wait()
-                if stop_flag.is_set():
-                    return
-                start, stop = bounds[shard]
-                shard_started = time.perf_counter()
-                try:
-                    with tracer.span(self.shard_name(shard), stage="streamed_screen", parent=run_span) as span:
-                        outcome = self._run_shard(shard, start, stop, source)
-                        span.set("compounds", outcome.num_compounds)
-                        span.set("attempts", outcome.attempts)
-                except BaseException as error:  # defensive: _run_shard catches job errors
-                    outcome = ShardOutcome(
-                        index=shard, start=start, stop=stop, status="failed", error=str(error)
-                    )
-                shard_elapsed = time.perf_counter() - shard_started
-                busy[worker_index] += shard_elapsed
-                shard_seconds.observe(shard_elapsed)
-                with cond:
-                    outcomes[shard] = outcome
-                    cond.notify_all()
-
-        threads = [
-            threading.Thread(target=worker, args=(w,), name=f"stream-worker-{w}", daemon=True)
-            for w in range(min(cfg.workers, max(limit, 1)))
-        ]
-        for thread in threads:
-            thread.start()
+        def run_one(shard: int) -> ShardOutcome:
+            start, stop = bounds[shard]
+            shard_started = time.perf_counter()
+            try:
+                with tracer.span(self.shard_name(shard), stage="streamed_screen", parent=run_span) as span:
+                    outcome = self._run_shard(shard, start, stop, source, shard_pool)
+                    span.set("compounds", outcome.num_compounds)
+                    span.set("attempts", outcome.attempts)
+            except Exception as error:  # defensive: _run_shard catches job errors
+                outcome = ShardOutcome(index=shard, start=start, stop=stop, status="failed", error=str(error))
+            shard_elapsed = time.perf_counter() - shard_started
+            name = threading.current_thread().name
+            busy[name] = busy.get(name, 0.0) + shard_elapsed
+            shard_seconds.observe(shard_elapsed)
+            return outcome
 
         def fold(outcome: ShardOutcome) -> None:
             nonlocal executed, restored, failed, num_compounds, total_attempts, total_retries
@@ -1058,13 +912,10 @@ class StreamingScreen:
                 executed += 1
                 count_executed.inc()
                 if self.checkpoints is not None:
-                    key = outcome.checkpoint_key or self.shard_key(
-                        outcome.index, self._shard_compound_ids(source, outcome.start, outcome.stop)
-                    )
                     try:
                         self.checkpoints.save(
                             self.shard_name(outcome.index),
-                            key,
+                            outcome.checkpoint_key,
                             {
                                 "best_scores": outcome.best_scores,
                                 "records": outcome.records,
@@ -1085,59 +936,68 @@ class StreamingScreen:
                 for record in outcome.records:
                     predictions[record.site_name][(record.compound_id, record.pose_id)] = record.fusion_pk
 
-        def shutdown_workers() -> None:
-            stop_flag.set()
-            # wake any worker parked at the reorder-window admission gate
-            with admission:
-                admission.notify_all()
-            for thread in threads:
-                thread.join()
-
-        startup_section.__exit__(None, None, None)
-        try:
-            for next_index in range(limit):
-                # the coordinating thread's own Table 7 accounting:
-                # "evaluation" while it waits on shard computation,
-                # "output" while it folds/checkpoints — disjoint sections,
-                # so the phases sum to at most the stage's wall time
-                with timer.section("evaluation"):
-                    with cond:
-                        while next_index not in outcomes:
-                            cond.wait()
-                        outcome = outcomes.pop(next_index)
-                    with admission:
-                        frontier = next_index + 1
-                        admission.notify_all()
-                with timer.section("output"):
-                    fold(outcome)
-        except BaseException as error:
-            # durability on the failure path: let in-flight shards finish,
-            # then fold (and checkpoint) every completed shard before
-            # propagating, so a resumed run only redoes what genuinely
-            # never finished
-            shutdown_workers()
-            for index in sorted(outcomes):
-                outcome = outcomes.pop(index)
-                if outcome.status != "failed":
-                    try:
+        with ExitStack() as stack:
+            if self.telemetry is not None:
+                stack.enter_context(activate(self.telemetry))
+            run_span = stack.enter_context(tracer.span("streaming-screen", stage="streamed_screen"))
+            with timer.section("startup"):
+                bounds = shard_bounds(len(source), cfg.shard_size)
+                limit = len(bounds) if stop_after_shards is None else min(max(int(stop_after_shards), 0), len(bounds))
+                run_span.set("num_shards", limit)
+                if cfg.backend == "process" and limit > 0:
+                    # one payload (stripped engine + source) per worker
+                    # process, never more workers than shards.  Under
+                    # supervision a SIGKILL'd worker is respawned and its
+                    # shard re-executed from its seed, bit-identically.
+                    shard_pool = stack.enter_context(
+                        SupervisedTaskPool(
+                            _ShardWorkerPayload(self, source), max_workers=min(cfg.workers, limit), registry=registry
+                        )
+                    )
+                    shard_pool.warm()
+                    run_span.set("process_workers", shard_pool.max_workers)
+                pool = stack.enter_context(
+                    ThreadPoolExecutor(min(cfg.workers, max(limit, 1)), thread_name_prefix="stream-worker")
+                )
+            # Shards [frontier, frontier + window) are submitted to the
+            # pool's shared queue and folded strictly in index order, so
+            # at most ``window`` completed-but-unfolded shards are ever
+            # buffered, and the frontier shard itself is always submitted
+            # (it cannot starve behind work that is waiting to fold).
+            window = 2 * cfg.workers
+            pending: dict[int, Future] = {}
+            try:
+                for frontier in range(limit):
+                    # the coordinating thread's own Table 7 accounting:
+                    # "evaluation" while it waits on shard computation,
+                    # "output" while it folds/checkpoints — disjoint
+                    # sections, so the phases sum to at most the stage's
+                    # wall time
+                    with timer.section("evaluation"):
+                        for shard in range(frontier + len(pending), min(frontier + window, limit)):
+                            pending[shard] = pool.submit(run_one, shard)
+                        outcome = pending.pop(frontier).result()
+                    with timer.section("output"):
                         fold(outcome)
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-            if isinstance(error, StreamShardError):
-                error.shards_executed = executed
-                error.shards_restored = restored
-                error.num_shards = len(bounds)
-                error.total_attempts = total_attempts
-                error.total_retries = total_retries
-                error.faults = list(fault_log)
-            raise
-        finally:
-            shutdown_workers()
-            if self._shard_pool is not None:
-                self._shard_pool.close()
-                self._shard_pool = None
-            run_span.__exit__(None, None, None)
-            scope.__exit__(None, None, None)
+            except BaseException as error:
+                # durability on the failure path: cancel shards that have
+                # not started, let in-flight ones finish, then fold (and
+                # checkpoint) every completed shard before propagating, so
+                # a resumed run only redoes what genuinely never finished
+                for future in pending.values():
+                    future.cancel()
+                for future in pending.values():
+                    if not future.cancelled() and future.result().status != "failed":
+                        with suppress(Exception):  # best effort
+                            fold(future.result())
+                if isinstance(error, StreamShardError):
+                    error.shards_executed = executed
+                    error.shards_restored = restored
+                    error.num_shards = len(bounds)
+                    error.total_attempts = total_attempts
+                    error.total_retries = total_retries
+                    error.faults = list(fault_log)
+                raise
 
         duration = time.perf_counter() - started
         result = StreamingScreenResult(
@@ -1149,7 +1009,6 @@ class StreamingScreen:
             shards_restored=restored,
             shards_failed=failed,
             failed_shards=failed_shards,
-            steals=queues.steals,
             total_attempts=total_attempts,
             total_retries=total_retries,
             faults=fault_log,
@@ -1158,11 +1017,9 @@ class StreamingScreen:
             predictions=predictions,
             records=records,
         )
-        registry.gauge("stream.steals").add(queues.steals)
         self._last_run = {
             "timer": timer.as_dict(),
-            "busy": {index: busy[index] for index in range(len(threads))},
-            "steals": queues.steals,
+            "busy": {index: busy[name] for index, name in enumerate(sorted(busy))},
             "result": result,
             "duration_s": duration,
             "telemetry": telemetry,
@@ -1179,7 +1036,7 @@ class StreamingScreen:
         carrying the streamed stage's startup/evaluation/output phase
         breakdown (Table 7, measured on the coordinating thread — the
         phases sum exactly to the stage's wall time), per-worker
-        occupancy and steal counts, the metrics-registry snapshot and
+        occupancy, the metrics-registry snapshot and
         the fold's retry/fault history.
         """
         if self._last_run is None:
@@ -1202,7 +1059,7 @@ class StreamingScreen:
             duration_s=info["duration_s"],
             stages=[stage],
             metrics=telemetry.snapshot(),
-            workers=worker_occupancy(info["busy"], info["duration_s"], steals=info["steals"]),
+            workers=worker_occupancy(info["busy"], info["duration_s"]),
             trace={"num_spans": len(telemetry.tracer)},
             faults=result.faults,
         )

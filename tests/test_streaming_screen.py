@@ -27,6 +27,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import types
 
@@ -37,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chem.protein import make_sarscov2_targets
 from repro.datasets.libraries import build_screening_deck, make_streaming_library
 from repro.hpc.faults import FaultInjector
-from repro.runtime import CheckpointStore, RetryPolicy
+from repro.runtime import CheckpointStore, JobRunner, RetryPolicy, StageJob, StageJobError
 from repro.screening.partition import shard_bounds
 from repro.screening.pipeline import CampaignConfig, ScreeningCampaign
 from repro.screening.stream import (
@@ -529,12 +530,12 @@ class TestImportOrder:
 class _SyntheticShardEngine(StreamingScreen):
     """The real scheduler/fold loop over an instant synthetic shard stage."""
 
-    def __init__(self, sites, config):
-        super().__init__(model=object(), featurizer=None, sites=sites, config=config)
+    def __init__(self, sites, config, **kwargs):
+        super().__init__(model=object(), featurizer=None, sites=sites, config=config, **kwargs)
 
     def _execute_shard(self, index, start, stop, source):
-        # uneven shard durations force out-of-order completion, steals
-        # and far-ahead results parked at the admission gate
+        # uneven shard durations force out-of-order completion, so
+        # far-ahead results wait in the window for the fold frontier
         time.sleep((index % 7) * 0.0003)
         best_scores = {
             name: [(f"SYN-{i:05d}", math.sin(i * 0.7) + site_i) for i in range(start, stop)]
@@ -549,10 +550,10 @@ class _SyntheticShardEngine(StreamingScreen):
 class TestReorderWindow:
     def test_many_shards_fold_exactly_without_deadlock(self, stream_sites):
         """Regression: a slot-counting reorder window deadlocked once fast
-        workers filled every slot with far-ahead (stolen) results that could
-        not fold until the frontier shard ran — while the frontier shard's
-        worker starved waiting for a slot.  Index-based admission keeps the
-        frontier shard admissible by construction."""
+        workers filled every slot with far-ahead results that could not
+        fold until the frontier shard ran — while the frontier shard's
+        worker starved waiting for a slot.  A window anchored at the fold
+        frontier keeps the frontier shard submitted by construction."""
         total = 300
         config = make_stream_config(shard_size=1, workers=4, top_k=25)
         result = _SyntheticShardEngine(stream_sites, config).run(
@@ -564,6 +565,78 @@ class TestReorderWindow:
         site = sorted(stream_sites)[0]
         assert result.top_k[site] == topk_by_full_sort(offers, 25)
         assert result.stats[site].count == total
+
+    def test_held_frontier_shard_bounds_how_far_ahead_shards_start(self, stream_sites):
+        """The memory bound: while shard 0 is held, shards keep running
+        around it, but none at or beyond ``2 x workers`` starts."""
+        workers, total = 2, 40
+        release = threading.Event()
+        started_while_held: list[int] = []
+
+        class HeldFrontierEngine(_SyntheticShardEngine):
+            def _execute_shard(self, index, start, stop, source):
+                if index == 0:
+                    assert release.wait(timeout=60)
+                elif not release.is_set():
+                    started_while_held.append(index)
+                return super()._execute_shard(index, start, stop, source)
+
+        config = make_stream_config(shard_size=1, workers=workers, top_k=10)
+        engine = HeldFrontierEngine(stream_sites, config)
+        outcome: dict = {}
+        runner = threading.Thread(
+            target=lambda: outcome.update(
+                result=engine.run([types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(total)])
+            )
+        )
+        runner.start()
+        deadline = time.monotonic() + 30
+        while {1, 3} - set(started_while_held) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.3)  # room for any shard past the window to (wrongly) start
+        release.set()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert {1, 3} <= set(started_while_held)
+        assert max(started_while_held) < 2 * workers
+        result = outcome["result"]
+        assert result.shards_executed == result.num_shards == total
+        site = sorted(stream_sites)[0]
+        offers = [(f"SYN-{i:05d}", math.sin(i * 0.7)) for i in range(total)]
+        assert result.top_k[site] == topk_by_full_sort(offers, 10)
+
+
+class TestRetryContract:
+    def test_job_runner_and_stream_report_the_same_attempts_and_faults(self, stream_sites):
+        """One always-fault injector through both retry callers: 3
+        attempts per name, the same fault strings per name, and
+        ``total_retries`` counting attempts beyond the first."""
+        from repro.telemetry import Telemetry
+
+        retry = RetryPolicy(max_retries=2)
+        config = make_stream_config(shard_size=1, workers=2, retry=retry, on_shard_failure="skip")
+        telemetry = Telemetry(enabled=True)
+        engine = _SyntheticShardEngine(
+            stream_sites, config, fault_injector=FaultInjector.uniform(1.0, seed=11), telemetry=telemetry
+        )
+        result = engine.run([types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(3)])
+        names = [engine.shard_name(index) for index in range(3)]
+
+        runner = JobRunner(max_workers=1, fault_injector=FaultInjector.uniform(1.0, seed=11), retry=retry)
+        for name in names:
+            with pytest.raises(StageJobError) as excinfo:
+                runner.run_all([StageJob(name=name, fn=lambda: pytest.fail("a faulted attempt ran its body"))])
+            assert excinfo.value.attempts == 3
+
+        stream_attempts = {r.name: r.counters["attempts"] for r in telemetry.tracer.records() if r.name in names}
+        assert runner.attempts == stream_attempts == dict.fromkeys(names, 3)
+        for name in names:
+            job_faults = [str(fault) for fault in runner.fault_log if fault.job_name == name]
+            assert len(job_faults) == 3
+            assert [fault for fault in result.faults if f" in {name} " in fault] == job_faults
+        assert result.shards_failed == 3 and result.failed_shards == [0, 1, 2]
+        assert result.total_attempts == runner.total_attempts == 9
+        assert result.total_retries == runner.total_retries == 6
 
 
 # --------------------------------------------------------------------------- #
