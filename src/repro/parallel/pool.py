@@ -210,12 +210,14 @@ class ProcessTaskPool:
             initializer=_initialize_worker,
             initargs=(self._payload_bytes,),
         )
-        # Spawn every worker now (one per call while none is idle).  On
-        # demand, ``submit`` wakes the manager thread before spawning, so
-        # the manager may wait on a sentinel list missing the new worker
-        # and never notice its death: an SPMD step then hangs.
-        for _ in range(self.max_workers):
-            self._executor._adjust_process_count()
+        # Spawn every worker, then start the manager thread.  On demand,
+        # ``submit`` wakes the manager before spawning, so the manager may
+        # wait on a sentinel list missing the new worker and never notice
+        # its death: an SPMD step then hangs.  The manager must exist even
+        # if nothing is ever submitted: only it tells workers to exit on
+        # ``shutdown``, and an unsignalled worker blocks interpreter exit.
+        self._executor._launch_processes()
+        self._executor._start_executor_manager_thread()
 
     # ------------------------------------------------------------------ #
     @property

@@ -868,8 +868,8 @@ class StreamingScreen:
         total_retries = 0
         fault_log: list[str] = []
         num_compounds = 0
-        # busy seconds per pool thread; each entry is written by its own thread only
-        busy: dict[str, float] = {}
+        # busy seconds per pool thread; each slot is written by its own thread only
+        busy: list[float] = []
         shard_pool: SupervisedTaskPool | None = None
 
         def run_one(shard: int) -> ShardOutcome:
@@ -883,8 +883,8 @@ class StreamingScreen:
             except Exception as error:  # defensive: _run_shard catches job errors
                 outcome = ShardOutcome(index=shard, start=start, stop=stop, status="failed", error=str(error))
             shard_elapsed = time.perf_counter() - shard_started
-            name = threading.current_thread().name
-            busy[name] = busy.get(name, 0.0) + shard_elapsed
+            # pool threads are named "stream-worker_<index>"
+            busy[int(threading.current_thread().name.rsplit("_", 1)[1])] += shard_elapsed
             shard_seconds.observe(shard_elapsed)
             return outcome
 
@@ -956,9 +956,8 @@ class StreamingScreen:
                     )
                     shard_pool.warm()
                     run_span.set("process_workers", shard_pool.max_workers)
-                pool = stack.enter_context(
-                    ThreadPoolExecutor(min(cfg.workers, max(limit, 1)), thread_name_prefix="stream-worker")
-                )
+                busy.extend([0.0] * min(cfg.workers, max(limit, 1)))
+                pool = stack.enter_context(ThreadPoolExecutor(len(busy), thread_name_prefix="stream-worker"))
             # Shards [frontier, frontier + window) are submitted to the
             # pool's shared queue and folded strictly in index order, so
             # at most ``window`` completed-but-unfolded shards are ever
@@ -1019,7 +1018,7 @@ class StreamingScreen:
         )
         self._last_run = {
             "timer": timer.as_dict(),
-            "busy": {index: busy[name] for index, name in enumerate(sorted(busy))},
+            "busy": dict(enumerate(busy)),
             "result": result,
             "duration_s": duration,
             "telemetry": telemetry,

@@ -15,6 +15,7 @@ here:
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import threading
 
@@ -102,6 +103,20 @@ class TestProcessTaskPool:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit("two")
+
+    def test_constructor_spawns_every_worker_before_any_submit(self):
+        # A worker spawned by a later submit can be missing from the
+        # sentinel list the executor's manager is already waiting on, so
+        # its death goes unnoticed (the SPMD rank-loss hang).
+        with ProcessTaskPool(_EchoPayload("x"), max_workers=3) as pool:
+            assert len(pool.worker_pids()) == 3
+
+    def test_close_without_any_submit_stops_every_worker(self):
+        pool = ProcessTaskPool(_EchoPayload("x"), max_workers=2)
+        pids = set(pool.worker_pids())
+        pool.close()
+        alive = {proc.pid for proc in multiprocessing.active_children()}
+        assert pids and not pids & alive
 
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):

@@ -606,6 +606,28 @@ class TestReorderWindow:
         assert result.top_k[site] == topk_by_full_sort(offers, 10)
 
 
+class TestWorkerOccupancy:
+    def test_every_pool_thread_has_a_row_in_numeric_order(self, stream_sites):
+        # more threads than shards that any one thread must run, so some
+        # may stay idle; they still get a (zero) row, and worker 10 sorts
+        # after worker 2
+        config = make_stream_config(shard_size=1, workers=12, top_k=5)
+        engine = _SyntheticShardEngine(stream_sites, config)
+        engine.run([types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(14)])
+        workers = engine.run_record()["workers"]
+        assert workers["count"] == 12
+        assert [row["worker"] for row in workers["occupancy"]] == list(range(12))
+        assert all(row["busy_s"] >= 0.0 for row in workers["occupancy"])
+
+    def test_a_run_with_no_shards_reports_one_idle_worker(self, stream_sites):
+        config = make_stream_config(shard_size=1, workers=3, top_k=5)
+        engine = _SyntheticShardEngine(stream_sites, config)
+        engine.run([types.SimpleNamespace(name="SYN-00000")], stop_after_shards=0)
+        workers = engine.run_record()["workers"]
+        assert workers["count"] == 1
+        assert workers["occupancy"][0]["busy_s"] == 0.0
+
+
 class TestRetryContract:
     def test_job_runner_and_stream_report_the_same_attempts_and_faults(self, stream_sites):
         """One always-fault injector through both retry callers: 3
